@@ -12,16 +12,47 @@
 //  * garbage collection: determinants whose destination has checkpointed
 //    past their rsn can never be replayed and are dropped.
 //
-// The send path runs per message, so the log maintains the active set
-// (below the propagation threshold and not stable) incrementally, plus a
-// per-destination pending index over it. active() is the one query behind
-// the un-pruned piggyback, the f = n stable flush (no holder count can
-// reach f+1 = n+1, so "active" is exactly "not yet on stable storage") and
-// the output-commit barrier (!active is exactly "recoverable"). The
-// pending index stays because at f = n the active set holds thousands of
-// determinants between flushes: a piggyback_for that scans active() was
-// measured 2-35x slower end to end there. Gather-time queries (slice_for,
-// max_ssn) may scan; they run once per recovery, not per message.
+// Storage. Entries live in a chunked slot pool; a hash index maps (dest,
+// rsn) to a slot, and each destination's lane lists its slots in rsn
+// order. The per-message calls (record, add_holders, piggyback_for) are
+// point lookups: a hash probe, rather than a descent through one ordered
+// tree of every known determinant (about 12.5k per process at n = 32),
+// whose cache-missing pointer chase dominated the send path. Whole-log
+// and per-destination walks (slice_for, encode, forget_holder, prune_dest,
+// replay_schedule) go lane by lane and keep (dest, rsn) order.
+//
+// The send path runs per message, so the log keeps the active set (below
+// the propagation threshold and not stable) incrementally. active() is the
+// one query behind the un-pruned piggyback, the f = n stable flush (no
+// holder count can reach f+1 = n+1, so "active" is exactly "not yet on
+// stable storage") and the output-commit barrier (!active is exactly
+// "recoverable"). Gather-time queries (slice_for, max_ssn) may scan; they
+// run once per recovery, not per message.
+//
+// Per-destination piggyback selection is event-driven, so record,
+// add_holders and prune_dest do no per-destination work:
+//
+//  * Stamps. An entry draws a fresh stamp from a monotone counter when it
+//    becomes active and again whenever forget_holder clears one of its
+//    holder bits; 0 means inactive. active_ maps stamp -> slot.
+//  * Cursors. Each destination has {seen, pending}. piggyback_for(to)
+//    walks active_ past `seen`, adds the entries `to` does not hold to
+//    `pending`, sets `seen` to the newest stamp, and returns the pending
+//    entries still active and not held by `to`, dropping the rest.
+//  * Invariant. For every destination, each active entry with stamp <=
+//    seen that it does not hold is in its pending set. Holder bits only
+//    grow outside forget_holder, and every way back into "active and not
+//    held by to" (activation, a cleared bit, a pruned key re-recorded)
+//    draws a stamp above every cursor.
+//  * Cost. A send costs the active entries stamped since the previous send
+//    to `to`, plus that destination's residue (entries it was last handed,
+//    or still awaiting a deferred mark). At f < n the active set is a
+//    handful of entries; at f = n thousands wait for the stable flush, yet
+//    few are new since the last send, so neither regime scans active().
+//    Eagerly updating every destination's pending set on each record costs
+//    n-1 set operations per holder change; doing it only for destinations
+//    whose bit changed still costs n-1 inserts per activation, which is why
+//    the pending sets are filled lazily by the cursors instead.
 //
 // The holder mask a process keeps is its *local knowledge* — possibly
 // behind reality, never ahead of it on the conservative side that matters:
@@ -33,6 +64,7 @@
 #include <cstdint>
 #include <map>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/serde.hpp"
@@ -64,7 +96,8 @@ class DeterminantLog {
 
   /// Determinants to piggyback on a message to `to`: the active set minus
   /// those already known to be held by `to`. Ordered by (dest, rsn).
-  [[nodiscard]] std::vector<HeldDeterminant> piggyback_for(ProcessId to) const;
+  /// Advances `to`'s cursor, hence non-const.
+  [[nodiscard]] std::vector<HeldDeterminant> piggyback_for(ProcessId to);
 
   /// The whole active set — not stable and below the propagation
   /// threshold — ignoring per-destination knowledge. Serves the un-pruned
@@ -89,9 +122,10 @@ class DeterminantLog {
   /// checkpointed past them). Returns the number removed.
   std::size_t prune_dest(ProcessId dest, Rsn upto);
 
-  [[nodiscard]] std::size_t size() const noexcept { return by_dest_rsn_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept { return index_.size(); }
   [[nodiscard]] std::size_t active_size() const noexcept { return active_.size(); }
   [[nodiscard]] bool contains(ProcessId dest, Rsn rsn) const;
+  /// The entry for (dest, rsn), or nullptr; valid until the next record().
   [[nodiscard]] const HeldDeterminant* find(ProcessId dest, Rsn rsn) const;
 
   void clear();
@@ -101,24 +135,58 @@ class DeterminantLog {
 
  private:
   using Key = std::pair<ProcessId, Rsn>;
+  using Stamp = std::uint64_t;
+  using Slot = std::uint32_t;  // position in the entry pool
+
+  struct Entry {
+    HeldDeterminant held;
+    Stamp stamp{0};  // 0 = inactive
+  };
+
+  struct KeyHash {
+    std::size_t operator()(const Key& k) const noexcept {
+      // Process ids are below kMaxProcesses = 2^10, so keys hash apart.
+      return static_cast<std::size_t>((k.second << 10) ^ k.first.value);
+    }
+  };
+
+  /// Entries in chunks of at most kChunk, so growing the pool copies at most
+  /// one chunk, and a small log allocates only what it holds.
+  static constexpr std::size_t kChunk = 256;
+
+  [[nodiscard]] Entry& at(Slot s) { return chunks_[s / kChunk][s % kChunk]; }
+  [[nodiscard]] const Entry& at(Slot s) const { return chunks_[s / kChunk][s % kChunk]; }
+  [[nodiscard]] Rsn rsn_of(Slot s) const { return at(s).held.det.rsn; }
+  [[nodiscard]] const Entry* lookup(const Key& key) const;
+
+  /// One destination's piggyback cursor: active entries stamped up to
+  /// `seen` that the destination did not hold when walked are in `pending`.
+  struct Cursor {
+    Stamp seen{0};
+    std::set<Key> pending;
+  };
 
   [[nodiscard]] bool is_active(const HeldDeterminant& h) const {
     return (h.holders & kStableHolder) == 0 && holder_count(h.holders) < threshold_;
   }
-  void index(const Key& key, const HeldDeterminant& h);
-  void unindex(const Key& key);
-
-  /// Pending piggyback work for one destination, built lazily on the first
-  /// send to it and maintained incrementally after that: exactly the active
-  /// determinants not known to be held by that destination. make_frame's
-  /// optimistic holder marking drains it, so steady-state sends cost
-  /// O(newly created determinants), not O(log size).
-  std::set<Key>& pending_for(ProcessId to) const;
+  /// A slot holding `h`, reusing a released one first.
+  Slot allocate(const HeldDeterminant& h);
+  /// Bring the entry's stamp in line with its holders after they grew.
+  void refresh(Slot s);
+  /// Give the entry a stamp newer than every cursor, or none if inactive.
+  void restamp(Slot s);
+  /// Drop the entry from the index and the active set and free its slot;
+  /// the caller removes it from its lane.
+  void release(Slot s);
 
   int threshold_{64};  // effectively "keep propagating" until configured
-  std::map<Key, HeldDeterminant> by_dest_rsn_;
-  std::set<Key> active_;  // piggyback candidates
-  mutable std::map<ProcessId, std::set<Key>> pending_by_dest_;
+  Stamp last_stamp_{0};
+  std::vector<std::vector<Entry>> chunks_;        // entry pool, kChunk per chunk
+  std::vector<Slot> free_;                        // released slots
+  std::unordered_map<Key, Slot, KeyHash> index_;  // point lookups
+  std::map<ProcessId, std::vector<Slot>> lanes_;  // per destination, rsn order
+  std::map<Stamp, Slot> active_;  // piggyback candidates, in activation order
+  std::vector<Cursor> cursors_;   // indexed by destination process id
 };
 
 }  // namespace rr::fbl

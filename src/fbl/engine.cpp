@@ -83,11 +83,7 @@ LoggingEngine::AcceptResult LoggingEngine::accept(ProcessId from, const AppFrame
   for (const auto& h : frame.dets) {
     HeldDeterminant mine = h;
     mine.holders |= holder_bit(config_.self);
-    if (det_log_.record(mine)) {
-      ++out.dets_learned;
-    } else {
-      det_log_.add_holders(mine.det, mine.holders);
-    }
+    if (det_log_.record(mine)) ++out.dets_learned;
   }
 
   const Ssn mark = watermark_of(recv_marks_, from);
@@ -122,7 +118,7 @@ void LoggingEngine::deliver_replayed(const Determinant& det, HolderMask extra_ho
   rsn_ = det.rsn;
   raise_watermark(recv_marks_, det.source, det.ssn);
   HeldDeterminant mine{det, extra_holders | holder_bit(config_.self)};
-  if (!det_log_.record(mine)) det_log_.add_holders(det, mine.holders);
+  det_log_.record(mine);
 }
 
 Checkpoint LoggingEngine::make_checkpoint(Bytes app_state) const {

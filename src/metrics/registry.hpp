@@ -18,7 +18,9 @@ namespace rr::metrics {
 
 class Registry {
  public:
-  /// Counter cell for `name` (created zeroed on first use).
+  /// Counter cell for `name` (created zeroed on first use). Cells are
+  /// std::map nodes, so a returned reference stays valid until reset(),
+  /// which only tests call: hot paths keep one through CounterHandle.
   Counter& counter(const std::string& name);
   /// Accumulator cell for `name` (created empty on first use).
   Accumulator& accum(const std::string& name);
@@ -46,6 +48,25 @@ class Registry {
   std::map<std::string, Counter> counters_;
   std::map<std::string, Accumulator> accums_;
   std::map<std::string, Histogram> histograms_;
+};
+
+/// A counter for a per-message path: the name is looked up on the first
+/// add() and the cell kept, so later adds skip the string-keyed lookup.
+/// Resolving lazily keeps construction free and creates the cell exactly
+/// when Registry::counter would have.
+class CounterHandle {
+ public:
+  CounterHandle(Registry& registry, const char* name) : registry_(&registry), name_(name) {}
+
+  void add(std::uint64_t n = 1) {
+    if (cell_ == nullptr) cell_ = &registry_->counter(name_);
+    cell_->add(n);
+  }
+
+ private:
+  Registry* registry_;
+  const char* name_;
+  Counter* cell_{nullptr};
 };
 
 }  // namespace rr::metrics

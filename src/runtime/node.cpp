@@ -457,9 +457,7 @@ void Node::handle_wire(ProcessId src, std::span<const std::byte> payload) {
           // volatile terms (we are now one of the f+1 holders) and confirm.
           for (const auto& h : push->dets) {
             fbl::HeldDeterminant mine{h.det, h.holders | fbl::holder_bit(config_.id)};
-            if (!engine_.det_log().record(mine)) {
-              engine_.det_log().add_holders(mine.det, mine.holders);
-            }
+            engine_.det_log().record(mine);
           }
           metrics_.counter("output.det_pushes_served").add();
           send_control(src, recovery::DetAck{push->seq});
@@ -503,7 +501,7 @@ void Node::handle_app_frame(ProcessId src, fbl::AppFrame frame) {
     // payload; absorb it so later gathers (and our own piggybacks) see it.
     for (const auto& h : frame.dets) {
       fbl::HeldDeterminant mine{h.det, h.holders | fbl::holder_bit(config_.id)};
-      if (!engine_.det_log().record(mine)) engine_.det_log().add_holders(mine.det, mine.holders);
+      engine_.det_log().record(mine);
     }
     if (replay_.installed() && replay_.needs(src, frame.ssn)) {
       metrics_.counter("replay.payloads_from_wire").add();
@@ -571,8 +569,8 @@ void Node::try_deliver_app(ProcessId src, const fbl::AppFrame& frame) {
   switch (res.verdict) {
     case fbl::LoggingEngine::Verdict::kDeliver:
       ++app_delivered_;
-      metrics_.counter("app.delivered").add();
-      metrics_.counter("fbl.dets_learned").add(res.dets_learned);
+      app_delivered_count_.add();
+      dets_learned_.add(res.dets_learned);
       if (config_.trace != nullptr) {
         config_.trace->record(sim_.now(), trace::DeliverEvent{config_.id, src, frame.ssn,
                                                               res.rsn, inc_, false, frame.inc});
@@ -606,7 +604,7 @@ void Node::drain_held(ProcessId src) {
     const auto res = engine_.accept(src, frame, recovery_.incvector());
     if (res.verdict == fbl::LoggingEngine::Verdict::kDeliver) {
       ++app_delivered_;
-      metrics_.counter("app.delivered").add();
+      app_delivered_count_.add();
       if (config_.trace != nullptr) {
         config_.trace->record(sim_.now(), trace::DeliverEvent{config_.id, src, frame.ssn,
                                                               res.rsn, inc_, false, frame.inc});
@@ -646,10 +644,10 @@ void Node::app_send(ProcessId to, Bytes payload) {
   RR_CHECK_MSG(alive_ && started_, "application sends require a started process");
   const std::size_t payload_bytes = payload.size();
   auto res = engine_.make_frame(to, std::move(payload), inc_);
-  metrics_.counter("app.sent").add();
-  metrics_.counter("app.payload_bytes").add(payload_bytes);
-  metrics_.counter("fbl.piggyback_dets").add(res.piggyback_count);
-  metrics_.counter("fbl.piggyback_bytes").add(res.piggyback_bytes);
+  app_sent_.add();
+  app_payload_bytes_.add(payload_bytes);
+  piggyback_dets_.add(res.piggyback_count);
+  piggyback_bytes_.add(res.piggyback_bytes);
 
   const bool suppressed =
       recovering_ && res.ssn <= fbl::watermark_of(suppress_marks_, to);
@@ -739,7 +737,7 @@ void Node::on_install(const recovery::DepInstall& install) {
   }
   for (const auto& h : install.dets) {
     fbl::HeldDeterminant mine{h.det, h.holders | fbl::holder_bit(config_.id)};
-    if (!engine_.det_log().record(mine)) engine_.det_log().add_holders(mine.det, mine.holders);
+    engine_.det_log().record(mine);
   }
   if (current_recovery_ && current_recovery_->installed_at == 0) {
     current_recovery_->installed_at = sim_.now();

@@ -208,6 +208,13 @@ class Node : public net::Endpoint {
   net::Network& network_;
   NodeConfig config_;
   metrics::Registry& metrics_;
+  // Per-message counters.
+  metrics::CounterHandle app_sent_{metrics_, "app.sent"};
+  metrics::CounterHandle app_payload_bytes_{metrics_, "app.payload_bytes"};
+  metrics::CounterHandle app_delivered_count_{metrics_, "app.delivered"};
+  metrics::CounterHandle piggyback_dets_{metrics_, "fbl.piggyback_dets"};
+  metrics::CounterHandle piggyback_bytes_{metrics_, "fbl.piggyback_bytes"};
+  metrics::CounterHandle dets_learned_{metrics_, "fbl.dets_learned"};
   std::vector<ProcessId> processes_;  // app processes, sorted, incl. self
   net::ReliableTransport transport_;
 

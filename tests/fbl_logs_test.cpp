@@ -109,6 +109,17 @@ TEST_F(DetLogFixture, ForgetHolderReactivatesPropagation) {
   EXPECT_FALSE(holds(log.find(ProcessId{2}, 1)->holders, ProcessId{3}));
 }
 
+TEST_F(DetLogFixture, ForgetHolderRequeuesPastTheCursor) {
+  // Active at {2, 5}. 5's cursor walks past it without queuing it (5 holds
+  // it); once 5 is forgotten it must be piggybacked to 5 again, although it
+  // never left the active set.
+  log.record({det(1, 1, 2, 1), holder_bit(ProcessId{2}) | holder_bit(ProcessId{5})});
+  EXPECT_TRUE(log.piggyback_for(ProcessId{5}).empty());
+  log.forget_holder(ProcessId{5}, 0);
+  ASSERT_EQ(log.active_size(), 1u);
+  EXPECT_EQ(log.piggyback_for(ProcessId{5}).size(), 1u);
+}
+
 TEST_F(DetLogFixture, PendingIndexDrainsOnHolderMark) {
   log.record({det(1, 1, 2, 1), holder_bit(ProcessId{2})});
   ASSERT_EQ(log.piggyback_for(ProcessId{5}).size(), 1u);
@@ -189,6 +200,63 @@ TEST_F(DetLogFixture, ConflictingDeterminantAborts) {
                "conflicting determinants");
 }
 
+// Thousands of keys learned out of rsn order push the slot index through
+// several doublings and the lanes through middle inserts; pruning frees
+// slots that later records reuse, and pruned keys come back. Point lookups,
+// ordered slices and the wire form must still agree with a plain map.
+TEST_F(DetLogFixture, ManyKeysOutOfOrderMatchAMap) {
+  std::vector<std::pair<std::uint32_t, Rsn>> keys;
+  for (std::uint32_t d = 0; d < 8; ++d) {
+    for (Rsn rsn = 1; rsn <= 600; ++rsn) keys.emplace_back(d, rsn);
+  }
+  Rng rng(11);
+  for (std::size_t i = keys.size() - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.bounded(i + 1)]);
+  }
+  std::map<std::pair<ProcessId, Rsn>, Determinant> model;
+  const auto learn = [&](std::uint32_t d, Rsn rsn) {
+    const Determinant x = det((d + 1) % 8, rsn * 3, d, rsn);
+    log.record({x, holder_bit(ProcessId{d})});
+    model[{ProcessId{d}, rsn}] = x;
+  };
+  for (const auto& [d, rsn] : keys) learn(d, rsn);
+  for (std::uint32_t d = 0; d < 8; ++d) {
+    const Rsn upto = 200 + 10 * d;
+    EXPECT_EQ(log.prune_dest(ProcessId{d}, upto), upto);
+    std::erase_if(model, [&](const auto& kv) {
+      return kv.first.first == ProcessId{d} && kv.first.second <= upto;
+    });
+  }
+  for (std::uint32_t d = 0; d < 8; ++d) {
+    for (Rsn rsn = 601; rsn <= 700; ++rsn) learn(d, rsn);
+  }
+  for (Rsn rsn = 50; rsn >= 1; --rsn) learn(0, rsn);  // pruned, then re-learned
+
+  ASSERT_EQ(log.size(), model.size());
+  std::vector<HeldDeterminant> expected;
+  for (const auto& [key, x] : model) {
+    const auto* h = log.find(key.first, key.second);
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->det, x);
+    expected.push_back({x, holder_bit(key.first)});
+  }
+  EXPECT_FALSE(log.contains(ProcessId{3}, 230));
+  EXPECT_FALSE(log.contains(ProcessId{3}, 701));
+  EXPECT_FALSE(log.contains(ProcessId{9}, 1));
+  EXPECT_EQ(log.slice_for(~HolderMask{0}), expected);
+
+  const auto replay = log.replay_schedule(ProcessId{0}, 40);
+  ASSERT_EQ(replay.size(), 10u + 400u + 100u);
+  EXPECT_EQ(replay.front().rsn, 41u);
+  EXPECT_EQ(replay[10].rsn, 201u);
+  EXPECT_EQ(replay.back().rsn, 700u);
+
+  BufWriter w;
+  log.encode(w);
+  BufReader r(w.view());
+  EXPECT_EQ(DeterminantLog::decode(r).slice_for(~HolderMask{0}), expected);
+}
+
 // Seeded reference-model property test: random record / add_holders /
 // forget_holder / prune_dest / set_propagation_threshold sequences over a
 // plain map, checking after every step that the incremental indices answer
@@ -231,15 +299,29 @@ class DetLogModel {
 
 bool stable(const HeldDeterminant& h) { return (h.holders & kStableHolder) != 0; }
 
+// Cursors lag behind mutations on purpose: piggyback_for is asked for a
+// random subset of destinations after each step, some piggybacks are marked
+// at once (the engine's immediate rule) and some only later or never (its
+// deferred mode), pruned keys get recorded again, the log is copy-assigned
+// mid-run (the make_checkpoint/load path) with both copies continuing
+// against their own model, and one replica continues from decode(encode()).
 TEST(DetLogProperty, IndicesMatchReferenceModel) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     Rng rng(seed);
     const auto n = static_cast<std::uint32_t>(rng.uniform(2, 8));
     const auto max_rsn = static_cast<Rsn>(rng.uniform(3, 12));
-    DetLogModel model;
-    DeterminantLog log;
-    int threshold = static_cast<int>(rng.uniform(1, n + 1));
-    log.set_propagation_threshold(threshold);
+    struct Replica {
+      DeterminantLog log;
+      DetLogModel model;
+      int threshold{1};
+      // Piggybacks handed out but not yet marked (deferred-mark mode).
+      std::vector<std::pair<ProcessId, std::vector<HeldDeterminant>>> unmarked;
+    };
+    std::vector<Replica> replicas(1);
+    replicas[0].threshold = static_cast<int>(rng.uniform(1, n + 1));
+    replicas[0].log.set_propagation_threshold(replicas[0].threshold);
+    const auto fork_step = static_cast<int>(rng.uniform(50, 200));
+    const auto reload_step = static_cast<int>(rng.uniform(0, 299));
     const auto pid = [&] { return ProcessId{static_cast<std::uint32_t>(rng.bounded(n))}; };
     const auto mask = [&] {
       HolderMask m;
@@ -254,60 +336,117 @@ TEST(DetLogProperty, IndicesMatchReferenceModel) {
       return Determinant{ProcessId{static_cast<std::uint32_t>((dest.value + rsn) % n)},
                          rsn * 7 + dest.value, dest, rsn};
     };
+    const auto expected_for = [](const std::vector<HeldDeterminant>& active, ProcessId to) {
+      std::vector<HeldDeterminant> out;
+      for (const auto& h : active) {
+        if (!holds(h.holders, to)) out.push_back(h);
+      }
+      return out;
+    };
+    const auto model_active = [](const Replica& r) {
+      return r.model.where([&](const HeldDeterminant& h) {
+        return !stable(h) && holder_count(h.holders) < r.threshold;
+      });
+    };
+    const auto mark = [](Replica& r, ProcessId to, const std::vector<HeldDeterminant>& dets) {
+      for (const auto& h : dets) {
+        r.log.add_holders(h.det, holder_bit(to));
+        r.model.add_holders(h.det, holder_bit(to));
+      }
+    };
     for (int step = 0; step < 300; ++step) {
-      const ProcessId p = pid();
-      const auto rsn = static_cast<Rsn>(rng.uniform(1, static_cast<std::int64_t>(max_rsn)));
-      switch (rng.bounded(10)) {
-        case 0:
-        case 1:
-        case 2:
-        case 3: {
-          const HeldDeterminant h{det_at(p, rsn), mask()};
-          log.record(h);
-          model.record(h);
-          break;
-        }
-        case 4:
-        case 5:
-        case 6: {
-          const HolderMask extra = mask();
-          log.add_holders(det_at(p, rsn), extra);
-          model.add_holders(det_at(p, rsn), extra);
-          break;
-        }
-        case 7:
-          log.forget_holder(p, rsn);
-          model.forget_holder(p, rsn);
-          break;
-        case 8:
-          log.prune_dest(p, rsn / 2);
-          model.prune_dest(p, rsn / 2);
-          break;
-        default: {
-          const auto t = static_cast<int>(rng.uniform(1, n + 1));
-          log.set_propagation_threshold(t);
-          threshold = t;
-          break;
-        }
+      if (step == fork_step) {
+        replicas.emplace_back();
+        replicas.back() = replicas.front();
       }
-      SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
-      ASSERT_EQ(log.size(), model.size());
-      const auto active = log.active();
-      ASSERT_EQ(active, model.where([&](const HeldDeterminant& h) {
-        return !stable(h) && holder_count(h.holders) < threshold;
-      }));
-      ASSERT_EQ(log.active_size(), active.size());
-      for (std::uint32_t to = 0; to < n; ++to) {
-        std::vector<HeldDeterminant> expect;
-        for (const auto& h : active) {
-          if (!holds(h.holders, ProcessId{to})) expect.push_back(h);
+      for (std::size_t ri = 0; ri < replicas.size(); ++ri) {
+        Replica& r = replicas[ri];
+        SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step << " replica "
+                                          << ri);
+        if (ri == 0 && step == reload_step) {
+          BufWriter w;
+          r.log.encode(w);
+          BufReader rd(w.view());
+          r.log = DeterminantLog::decode(rd);
+          r.log.set_propagation_threshold(r.threshold);
         }
-        ASSERT_EQ(log.piggyback_for(ProcessId{to}), expect) << "to p" << to;
-      }
-      if (threshold == static_cast<int>(n) + 1) {
-        ASSERT_EQ(active, model.where([](const HeldDeterminant& h) { return !stable(h); }));
+        const ProcessId p = pid();
+        const auto rsn = static_cast<Rsn>(rng.uniform(1, static_cast<std::int64_t>(max_rsn)));
+        switch (rng.bounded(13)) {
+          case 0:
+          case 1:
+          case 2:
+          case 3: {
+            const HeldDeterminant h{det_at(p, rsn), mask()};
+            r.log.record(h);
+            r.model.record(h);
+            break;
+          }
+          case 4:
+          case 5: {
+            const HolderMask extra = mask();
+            r.log.add_holders(det_at(p, rsn), extra);
+            r.model.add_holders(det_at(p, rsn), extra);
+            break;
+          }
+          case 6:
+            r.log.forget_holder(p, rsn);
+            r.model.forget_holder(p, rsn);
+            break;
+          case 7: {
+            r.log.prune_dest(p, rsn / 2);
+            r.model.prune_dest(p, rsn / 2);
+            if (rsn / 2 >= 1 && rng.chance(0.5)) {
+              // Record a key the prune just removed.
+              const auto again =
+                  static_cast<Rsn>(rng.uniform(1, static_cast<std::int64_t>(rsn / 2)));
+              const HeldDeterminant h{det_at(p, again), mask()};
+              r.log.record(h);
+              r.model.record(h);
+            }
+            break;
+          }
+          case 8: {
+            r.threshold = static_cast<int>(rng.uniform(1, n + 1));
+            r.log.set_propagation_threshold(r.threshold);
+            break;
+          }
+          case 9:
+          case 10:
+          case 11: {
+            // A send: piggyback, then mark now, defer the mark, or never
+            // mark (the frame was lost with its sender's volatile state).
+            const ProcessId to = pid();
+            const auto got = r.log.piggyback_for(to);
+            ASSERT_EQ(got, expected_for(model_active(r), to)) << "send to p" << to.value;
+            const auto how = rng.bounded(3);
+            if (how == 0) mark(r, to, got);
+            if (how == 1) r.unmarked.emplace_back(to, got);
+            break;
+          }
+          default:
+            if (!r.unmarked.empty()) {
+              // Confirm a deferred mark, oldest first.
+              mark(r, r.unmarked.front().first, r.unmarked.front().second);
+              r.unmarked.erase(r.unmarked.begin());
+            }
+            break;
+        }
+        ASSERT_EQ(r.log.size(), r.model.size());
+        const auto active = r.log.active();
+        ASSERT_EQ(active, model_active(r));
+        ASSERT_EQ(r.log.active_size(), active.size());
+        for (std::uint32_t to = 0; to < n; ++to) {
+          if (!rng.chance(0.4)) continue;  // leave this cursor behind
+          ASSERT_EQ(r.log.piggyback_for(ProcessId{to}), expected_for(active, ProcessId{to}))
+              << "to p" << to;
+        }
+        if (r.threshold == static_cast<int>(n) + 1) {
+          ASSERT_EQ(active, r.model.where([](const HeldDeterminant& h) { return !stable(h); }));
+        }
       }
     }
+    ASSERT_EQ(replicas.size(), 2u);
   }
 }
 

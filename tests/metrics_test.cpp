@@ -242,6 +242,18 @@ TEST(Registry, FindCounterDoesNotCreate) {
   EXPECT_EQ(r.counter_names(), std::vector<std::string>{"hits"});
 }
 
+TEST(Registry, CounterHandleCreatesOnFirstAddAndSharesTheCell) {
+  Registry r;
+  CounterHandle sent(r, "app.sent");
+  EXPECT_TRUE(r.counter_names().empty());  // nothing registered yet
+  sent.add();
+  sent.add(4);
+  r.counter("app.sent").add(2);  // lookups by name reach the same cell
+  for (int i = 0; i < 50; ++i) r.counter("filler." + std::to_string(i));
+  sent.add();  // the kept cell survives later insertions
+  EXPECT_EQ(r.counter_value("app.sent"), 8u);
+}
+
 TEST(Registry, NamesSorted) {
   Registry r;
   r.counter("z");
