@@ -77,30 +77,12 @@ app::AppFactory explorer_workload(const FaultSchedule& s) {
   };
 }
 
-/// View of the fbl frame inside a wire payload. With the reliable transport
-/// enabled, protocol frames travel behind its data header — injections that
-/// target *application* frames must look through it, or their coordinates
-/// would silently stop matching on lossy schedules. Empty when the payload
-/// is a transport ack or malformed.
-std::span<const std::byte> frame_view(const Bytes& payload) {
-  if (payload.empty()) return {};
-  if (std::to_integer<std::uint8_t>(payload[0]) != net::ReliableTransport::kDataByte) {
-    return {payload.data(), payload.size()};
-  }
-  try {
-    BufReader r(payload);
-    (void)r.u8();      // data marker
-    (void)r.u32();     // epoch
-    (void)r.varint();  // stream
-    (void)r.varint();  // seq
-    return r.raw(r.remaining());
-  } catch (const SerdeError&) {
-    return {};
-  }
-}
-
+/// True iff the packet carries an application frame. With the reliable
+/// transport enabled, protocol frames travel behind its data header —
+/// injections that target *application* frames must look through it, or
+/// their coordinates would silently stop matching on lossy schedules.
 bool is_app_frame(const Bytes& payload) {
-  const auto frame = frame_view(payload);
+  const auto frame = net::ReliableTransport::unwrap(payload).frame;
   return !frame.empty() &&
          std::to_integer<std::uint8_t>(frame[0]) ==
              static_cast<std::uint8_t>(fbl::FrameKind::kApp);
@@ -247,7 +229,9 @@ RunOutcome ScheduleExplorer::run(const FaultSchedule& schedule, RunCapture* capt
               // the protocol layer rather than die in sequence dedup.
               if (chan_index == inj.index && is_app_frame(payload)) {
                 st.cluster->network().inject(
-                    src, dst, BufferPool::global().copy_of(frame_view(payload)),
+                    src, dst,
+                    BufferPool::global().copy_of(
+                        net::ReliableTransport::unwrap(payload).frame),
                     inj.delay);
                 ++st.applied;
               }

@@ -62,8 +62,7 @@ LoggingEngine::SendResult LoggingEngine::build_frame(ProcessId to, Ssn ssn, cons
 
   out.ssn = ssn;
   out.piggyback_count = frame.dets.size();
-  out.piggyback_bytes = frame.piggyback_bytes();
-  out.frame = frame.encode();
+  out.frame = frame.encode(&out.piggyback_bytes);
   return out;
 }
 
@@ -80,11 +79,7 @@ LoggingEngine::AcceptResult LoggingEngine::accept(ProcessId from, const AppFrame
   }
 
   // Absorb piggybacked knowledge (valid even on duplicate payloads).
-  for (const auto& h : frame.dets) {
-    HeldDeterminant mine = h;
-    mine.holders |= holder_bit(config_.self);
-    if (det_log_.record(mine)) ++out.dets_learned;
-  }
+  out.dets_learned = absorb(frame.dets);
 
   const Ssn mark = watermark_of(recv_marks_, from);
   if (frame.ssn <= mark) {
@@ -108,6 +103,14 @@ LoggingEngine::AcceptResult LoggingEngine::accept(ProcessId from, const AppFrame
   mine.holders = holder_bit(config_.self);
   RR_CHECK(det_log_.record(mine));
   return out;
+}
+
+std::size_t LoggingEngine::absorb(std::span<const HeldDeterminant> dets) {
+  std::size_t learned = 0;
+  for (const HeldDeterminant& h : dets) {
+    if (det_log_.record(HeldDeterminant{h.det, h.holders | holder_bit(config_.self)})) ++learned;
+  }
+  return learned;
 }
 
 void LoggingEngine::deliver_replayed(const Determinant& det, HolderMask extra_holders) {

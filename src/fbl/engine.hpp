@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 
 #include "common/types.hpp"
 #include "fbl/checkpoint.hpp"
@@ -106,6 +107,10 @@ class LoggingEngine {
   /// except stale frames (the knowledge is valid; only the payload is
   /// redundant or early).
   AcceptResult accept(ProcessId from, const AppFrame& frame, const IncVector& incvector);
+
+  /// Absorb determinants learned from a peer (piggyback, push or install):
+  /// record each with self added as a holder. Returns how many were new.
+  std::size_t absorb(std::span<const HeldDeterminant> dets);
 
   /// Delivery confirmation for a frame that piggybacked `dets` toward `to`
   /// (defer_holder_mark mode): the copies are now logged at the

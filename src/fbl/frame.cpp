@@ -10,13 +10,18 @@ FrameKind decode_kind(BufReader& r) {
   return static_cast<FrameKind>(k);
 }
 
-Bytes AppFrame::encode() const {
-  BufWriter w(payload.size() + piggyback_bytes() + 32);
+Bytes AppFrame::encode(std::size_t* piggyback_bytes) const {
+  // Capacity is a guess (a holder list is f+2 varints at most in practice);
+  // a larger determinant region just grows the buffer.
+  constexpr std::size_t kDetGuess = HeldDeterminant::kMinWireBytes + 16;
+  BufWriter w(payload.size() + dets.size() * kDetGuess + 32);
   encode_kind(w, FrameKind::kApp);
   w.u32(inc);
   w.u64(ssn);
   w.varint(dets.size());
+  const std::size_t region = w.size();
   for (const auto& d : dets) d.encode(w);
+  if (piggyback_bytes != nullptr) *piggyback_bytes = w.size() - region;
   w.bytes(payload);
   return std::move(w).take();
 }

@@ -38,15 +38,11 @@ struct AppFrame {
   std::vector<HeldDeterminant> dets;  ///< piggybacked receipt orders
   Bytes payload;
 
-  [[nodiscard]] Bytes encode() const;
+  /// Wire form. If `piggyback_bytes` is given, it receives the bytes the
+  /// piggybacked determinants contribute (overhead accounting), measured
+  /// while encoding so each holder list is walked once.
+  [[nodiscard]] Bytes encode(std::size_t* piggyback_bytes = nullptr) const;
   [[nodiscard]] static AppFrame decode(BufReader& r);  // kind byte consumed
-
-  /// Bytes the piggybacked determinants contribute (overhead accounting).
-  [[nodiscard]] std::size_t piggyback_bytes() const {
-    std::size_t n = 0;
-    for (const HeldDeterminant& d : dets) n += d.wire_bytes();
-    return n;
-  }
 };
 
 struct HeartbeatFrame {

@@ -6,6 +6,7 @@
 
 #include "common/hash.hpp"
 #include "common/log.hpp"
+#include "net/reliable.hpp"
 #include "obs/ledger.hpp"
 #include "obs/span.hpp"
 
@@ -167,12 +168,25 @@ void Network::schedule_delivery(Time at, ProcessId src, ProcessId dst, Bytes pay
   });
 }
 
-std::size_t Network::send(ProcessId src, ProcessId dst, Bytes payload) {
-  // The transport's retransmit hint is one-shot and consumed on *every*
-  // path through send(), so a retransmission dropped below cannot mislabel
-  // the sender's next packet in the ledger.
-  const bool retransmit =
-      ledger_ != nullptr && ledger_->take_retransmit_hint(src.value);
+void Network::observe(Time deliver_at, ProcessId src, ProcessId dst, const Bytes& payload,
+                      bool charged, bool retransmit) {
+  if (ledger_ == nullptr && tracer_ == nullptr) return;
+  const std::size_t bytes = payload.size() + kHeaderBytes;
+  const ReliableTransport::Unwrapped wire = ReliableTransport::unwrap(payload);
+  if (charged && ledger_ != nullptr) {
+    using Class = ReliableTransport::WireClass;
+    const obs::Envelope env = retransmit                   ? obs::Envelope::kRetransmit
+                              : wire.cls == Class::kAck       ? obs::Envelope::kAck
+                              : wire.cls == Class::kMalformed ? obs::Envelope::kMalformed
+                                                              : obs::Envelope::kFrame;
+    ledger_->on_wire(src.value, wire.frame, bytes, env);
+  }
+  if (tracer_ != nullptr) {
+    tracer_->on_packet(sim_.now(), deliver_at, dst.value, bytes, wire.frame);
+  }
+}
+
+std::size_t Network::send(ProcessId src, ProcessId dst, Bytes payload, bool retransmit) {
   const auto src_it = endpoints_.find(src);
   if (src_it == endpoints_.end() || !src_it->second.up) {
     metrics_.counter("net.drop.down").add();
@@ -216,10 +230,6 @@ std::size_t Network::send(ProcessId src, ProcessId dst, Bytes payload) {
   const std::size_t bytes = payload.size() + kHeaderBytes;
   metrics_.counter("net.packets").add();
   metrics_.counter("net.bytes").add(bytes);
-  // Classified at the same site "net.bytes" is charged: the ledger's
-  // category totals partition that counter exactly (V10). Duplicated
-  // copies below bypass both, keeping the two in lockstep.
-  if (ledger_ != nullptr) ledger_->on_wire(src.value, payload, kHeaderBytes, retransmit);
 
   // FIFO: never deliver earlier than the previous packet on this channel.
   // Injected delay is applied before the horizon so it pushes the channel
@@ -238,10 +248,10 @@ std::size_t Network::send(ProcessId src, ProcessId dst, Bytes payload) {
         fault_draw(kTagReorder, key, chan_index) % (window + 1));
   }
 
-  if (tracer_ != nullptr && !payload.empty()) {
-    tracer_->on_packet(sim_.now(), deliver_at, src.value, dst.value, bytes,
-                       static_cast<std::uint32_t>(payload[0]));
-  }
+  // Observed at the same site "net.bytes" is charged: the ledger's
+  // category totals partition that counter exactly (V10). Duplicated
+  // copies below bypass both, keeping the two in lockstep.
+  observe(deliver_at, src, dst, payload, /*charged=*/true, retransmit);
 
   if (lossy && dup_ppm_ != 0 &&
       fault_draw(kTagDup, key, chan_index) % kPpmScale < dup_ppm_) {
@@ -262,11 +272,7 @@ std::size_t Network::send(ProcessId src, ProcessId dst, Bytes payload) {
 void Network::inject(ProcessId src, ProcessId dst, Bytes payload, Duration delay) {
   RR_CHECK(delay >= 0);
   metrics_.counter("net.injected_stale").add();
-  if (tracer_ != nullptr && !payload.empty()) {
-    tracer_->on_packet(sim_.now(), sim_.now() + delay, src.value, dst.value,
-                       payload.size() + kHeaderBytes,
-                       static_cast<std::uint32_t>(payload[0]));
-  }
+  observe(sim_.now() + delay, src, dst, payload, /*charged=*/false, /*retransmit=*/false);
   // Bypasses sender liveness and the FIFO horizon (that is the point of a
   // stale straggler), but not the destination's down/partition wall.
   schedule_delivery(sim_.now() + delay, src, dst, std::move(payload));

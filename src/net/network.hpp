@@ -142,24 +142,25 @@ class Network {
 
   /// Enqueue a packet. Returns the number of bytes charged (payload +
   /// per-packet header overhead), or 0 if it was dropped at send time.
-  std::size_t send(ProcessId src, ProcessId dst, Bytes payload);
+  /// `retransmit` marks a reliable-transport re-send: its bytes repeat a
+  /// frame already charged once, so the ledger books them as
+  /// transport_retransmit instead of under the frame's content.
+  std::size_t send(ProcessId src, ProcessId dst, Bytes payload, bool retransmit = false);
 
   /// send() to every attached endpoint except `src`.
   void broadcast(ProcessId src, const Bytes& payload);
 
   /// Install (or clear, with nullptr) the span tracer tap. Every accepted
-  /// packet reports (send time, delivery time, endpoints, size, first
-  /// payload byte) — both endpoints of the interval are known at send time,
-  /// so the tap is a single call with no matching state.
+  /// or injected packet reports (send time, delivery time, destination,
+  /// size, inner frame) — both endpoints of the interval are known at send
+  /// time, so the tap is a single call with no matching state.
   void set_tracer(obs::SpanTracer* tracer) { tracer_ = tracer; }
 
   /// Install (or clear, with nullptr) the cost-attribution ledger. Every
   /// accepted packet is classified at the exact site where "net.bytes" is
   /// charged, so the ledger's category totals partition that counter (the
-  /// V10 conservation oracle). The reliable transport marks retransmissions
-  /// via ledger()->note_retransmit() just before re-sending.
+  /// V10 conservation oracle).
   void set_ledger(obs::CostLedger* ledger) { ledger_ = ledger; }
-  [[nodiscard]] obs::CostLedger* ledger() const noexcept { return ledger_; }
 
   /// Install (or clear, with nullptr) the per-packet fault hook. Applies
   /// extra delay *before* the FIFO horizon, so injected delays push the
@@ -213,6 +214,11 @@ class Network {
   [[nodiscard]] bool profile_applies(ProcessId src, ProcessId dst) const;
   /// Schedule one delivery attempt at `at`, re-checking down/partition then.
   void schedule_delivery(Time at, ProcessId src, ProcessId dst, Bytes payload);
+  /// The observation taps' one view of a packet: the transport framing is
+  /// unwrapped once and the same inner frame goes to the ledger (only for
+  /// packets charged to "net.bytes") and to the span tracer.
+  void observe(Time deliver_at, ProcessId src, ProcessId dst, const Bytes& payload,
+               bool charged, bool retransmit);
 
   sim::Simulator& sim_;
   NetworkConfig config_;

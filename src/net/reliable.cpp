@@ -4,19 +4,8 @@
 #include <utility>
 
 #include "common/log.hpp"
-#include "obs/ledger.hpp"
 
 namespace rr::net {
-
-namespace {
-
-/// Mark the next packet from `self` as a retransmission for the cost
-/// ledger (one-shot; Network::send consumes it on every path).
-void hint_retransmit(Network& network, ProcessId self) {
-  if (obs::CostLedger* ledger = network.ledger()) ledger->note_retransmit(self.value);
-}
-
-}  // namespace
 
 namespace {
 
@@ -50,6 +39,32 @@ ReliableTransport::~ReliableTransport() { reset(0); }
 void ReliableTransport::set_raw_peer(ProcessId peer) {
   const auto it = std::lower_bound(raw_peers_.begin(), raw_peers_.end(), peer);
   if (it == raw_peers_.end() || *it != peer) raw_peers_.insert(it, peer);
+}
+
+ReliableTransport::Unwrapped ReliableTransport::unwrap(std::span<const std::byte> wire) {
+  Unwrapped out;
+  if (wire.empty()) return out;
+  switch (std::to_integer<std::uint8_t>(wire[0])) {
+    case kAckByte:
+      out.cls = WireClass::kAck;
+      return out;
+    case kDataByte:
+      try {
+        BufReader r(wire);
+        (void)r.u8();
+        out.epoch = r.u32();
+        out.stream = r.varint();
+        out.seq = r.varint();
+        out.frame = r.raw(r.remaining());
+        out.cls = WireClass::kData;
+      } catch (const SerdeError&) {
+        out.cls = WireClass::kMalformed;
+      }
+      return out;
+    default:
+      out.frame = wire;
+      return out;
+  }
 }
 
 bool ReliableTransport::is_raw_peer(ProcessId peer) const {
@@ -124,8 +139,7 @@ void ReliableTransport::on_timeout(ProcessId dst) {
     const Unacked& u = ch.unacked[i];
     metrics_.counter("net.retransmit").add();
     metrics_.counter("net.retransmit_bytes").add(u.wire.size() + Network::kHeaderBytes);
-    hint_retransmit(network_, self_);
-    network_.send(self_, dst, BufferPool::global().copy_of(u.wire));
+    network_.send(self_, dst, BufferPool::global().copy_of(u.wire), /*retransmit=*/true);
   }
 
   if (ch.retries < config_.max_retries) ++ch.retries;
@@ -166,21 +180,14 @@ void ReliableTransport::restart_stream(ProcessId peer, SendChannel& ch) {
     if (peer_signal_) peer_signal_(peer, false);
   }
   for (Unacked& u : ch.unacked) {
-    BufReader r(u.wire);
-    (void)r.u8();
-    (void)r.u32();
-    (void)r.varint();
-    (void)r.varint();
-    const std::span<const std::byte> inner = r.raw(r.remaining());
     const std::uint64_t seq = ch.next_seq++;
-    Bytes rewrapped = wrap(ch, seq, inner);
+    Bytes rewrapped = wrap(ch, seq, unwrap(u.wire).frame);
     BufferPool::global().release(std::move(u.wire));
     u.seq = seq;
     u.wire = std::move(rewrapped);
     metrics_.counter("net.retransmit").add();
     metrics_.counter("net.retransmit_bytes").add(u.wire.size() + Network::kHeaderBytes);
-    hint_retransmit(network_, self_);
-    network_.send(self_, peer, BufferPool::global().copy_of(u.wire));
+    network_.send(self_, peer, BufferPool::global().copy_of(u.wire), /*retransmit=*/true);
   }
   if (ch.timer.valid()) sim_.cancel(ch.timer);
   ch.timer = sim::kNoEvent;
@@ -244,13 +251,11 @@ void ReliableTransport::deliver_up(ProcessId src, Bytes payload, std::size_t off
   BufferPool::global().release(std::move(payload));
 }
 
-void ReliableTransport::on_data(ProcessId src, Bytes payload) {
-  BufReader r(payload);
-  (void)r.u8();
-  const Incarnation e = r.u32();
-  const std::uint64_t s = r.varint();
-  const std::uint64_t q = r.varint();
-  const std::size_t offset = payload.size() - r.remaining();
+void ReliableTransport::on_data(ProcessId src, Bytes payload, const Unwrapped& head) {
+  const Incarnation e = head.epoch;
+  const std::uint64_t s = head.stream;
+  const std::uint64_t q = head.seq;
+  const std::size_t offset = payload.size() - head.frame.size();
 
   RecvChannel& ch = recv_[src];
   const int order = cmp_channel(e, s, ch.epoch, ch.stream);
@@ -326,15 +331,7 @@ void ReliableTransport::on_data(ProcessId src, Bytes payload) {
       Bytes held = std::move(h->second);
       cur.held.erase(h);
       cur.delivered += 1;
-      std::size_t held_offset;
-      {
-        BufReader hr(held);
-        (void)hr.u8();
-        (void)hr.u32();
-        (void)hr.varint();
-        (void)hr.varint();
-        held_offset = held.size() - hr.remaining();
-      }
+      const std::size_t held_offset = held.size() - unwrap(held).frame.size();
       deliver_up(src, std::move(held), held_offset);
     }
   }
@@ -351,28 +348,28 @@ void ReliableTransport::on_data(ProcessId src, Bytes payload) {
 }
 
 void ReliableTransport::on_wire(ProcessId src, Bytes payload) {
-  if (!config_.enabled || payload.empty()) {
-    deliver_up(src, std::move(payload), 0);
-    return;
-  }
-  const auto first = static_cast<std::uint8_t>(payload[0]);
-  try {
-    if (first == kAckByte) {
-      on_ack(src, payload);
-      BufferPool::global().release(std::move(payload));
+  const Unwrapped head = config_.enabled ? unwrap(payload) : Unwrapped{};
+  switch (head.cls) {
+    case WireClass::kRaw:
+      // Heartbeat, ordinal-service protocol, pre-transport sender, or the
+      // transport is off.
+      deliver_up(src, std::move(payload), 0);
       return;
-    }
-    if (first == kDataByte) {
-      on_data(src, std::move(payload));
+    case WireClass::kData:
+      on_data(src, std::move(payload), head);
       return;
-    }
-  } catch (const SerdeError&) {
-    metrics_.counter("transport.malformed").add();
-    BufferPool::global().release(std::move(payload));
-    return;
+    case WireClass::kAck:
+      try {
+        on_ack(src, payload);
+      } catch (const SerdeError&) {
+        metrics_.counter("transport.malformed").add();
+      }
+      break;
+    case WireClass::kMalformed:
+      metrics_.counter("transport.malformed").add();
+      break;
   }
-  // Raw frame (heartbeat, ordinal-service protocol, pre-transport sender).
-  deliver_up(src, std::move(payload), 0);
+  BufferPool::global().release(std::move(payload));
 }
 
 void ReliableTransport::clear_send(SendChannel& ch) {

@@ -32,6 +32,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -87,6 +88,29 @@ class ReliableTransport {
   /// fbl::FrameKind range so raw (unwrapped) frames pass through untouched.
   static constexpr std::uint8_t kDataByte = 0xD7;
   static constexpr std::uint8_t kAckByte = 0xA7;
+
+  /// How a wire payload is framed.
+  enum class WireClass : std::uint8_t {
+    kRaw,        ///< no transport framing (heartbeat, ordinal service, off)
+    kData,       ///< data header wrapping an inner frame
+    kAck,        ///< cumulative ack (no inner frame)
+    kMalformed,  ///< data marker, but the header does not decode
+  };
+  struct Unwrapped {
+    WireClass cls{WireClass::kRaw};
+    /// Header fields; meaningful for kData only.
+    Incarnation epoch{0};
+    std::uint64_t stream{0};
+    std::uint64_t seq{0};
+    /// The protocol frame the payload carries: all of it when raw, what
+    /// follows the header when data, empty for acks and malformed headers.
+    std::span<const std::byte> frame;
+  };
+  /// The one decoder of the data header
+  /// [kDataByte][u32 epoch][varint stream][varint seq]. Stateless, so the
+  /// network's observation taps and the schedule explorer read the wire
+  /// exactly as the receiving transport does.
+  [[nodiscard]] static Unwrapped unwrap(std::span<const std::byte> wire);
 
   ReliableTransport(sim::Simulator& sim, Network& network, ProcessId self,
                     TransportConfig config, metrics::Registry& metrics);
@@ -183,7 +207,7 @@ class ReliableTransport {
   void arm_timer(ProcessId dst, SendChannel& ch, Duration delay);
   void on_timeout(ProcessId dst);
   void on_ack(ProcessId src, const Bytes& payload);
-  void on_data(ProcessId src, Bytes payload);
+  void on_data(ProcessId src, Bytes payload, const Unwrapped& head);
   void send_ack(ProcessId dst, const RecvChannel& ch);
   /// The receiver behind `peer` restarted: restart our sequence space
   /// toward it (stream+1, re-wrap and resend everything unacked).

@@ -73,7 +73,6 @@ CostLedger::CostLedger(CostLedgerConfig config, metrics::Registry& metrics)
     frames_counter_[i] = &metrics_.counter("ledger.frames." + suffix);
   }
   per_node_.assign((config_.num_nodes + std::size_t{1}) * kCostCategoryCount, 0);
-  retransmit_hint_.assign(config_.num_nodes + std::size_t{1}, 0);
 }
 
 void CostLedger::record(std::uint32_t slot, CostCategory c, std::uint64_t bytes,
@@ -86,39 +85,24 @@ void CostLedger::record(std::uint32_t slot, CostCategory c, std::uint64_t bytes,
   per_node_[slot * kCostCategoryCount + i] += bytes;
 }
 
-void CostLedger::on_wire(std::uint32_t src, std::span<const std::byte> payload,
-                         std::size_t header_bytes, bool retransmit) {
+void CostLedger::on_wire(std::uint32_t src, std::span<const std::byte> frame,
+                         std::uint64_t wire_bytes, Envelope envelope) {
   const std::uint32_t slot = std::min(src, config_.num_nodes);
-  const std::uint64_t total = payload.size() + header_bytes;
-  if (retransmit) {
-    record(slot, CostCategory::kTransportRetransmit, total, 1);
+  if (envelope != Envelope::kFrame) {
+    // No frame to read: the envelope alone decides the category.
+    const CostCategory c = envelope == Envelope::kAck ? CostCategory::kTransportAck
+                           : envelope == Envelope::kRetransmit
+                               ? CostCategory::kTransportRetransmit
+                               : CostCategory::kOther;
+    record(slot, c, wire_bytes, 1);
     return;
   }
-  if (payload.empty()) {
-    record(slot, CostCategory::kOther, total, 1);
-    return;
-  }
-  const auto lead = static_cast<std::uint32_t>(payload[0]);
   try {
-    if (lead == config_.transport_ack_byte) {
-      record(slot, CostCategory::kTransportAck, total, 1);
-      return;
-    }
-    if (lead == config_.transport_data_byte) {
-      // Strip the reliable-transport header ([magic][u32 epoch]
-      // [varint stream][varint seq]) so the wrapper never smears the inner
-      // frame's category; the wrapper bytes stay charged with the frame.
-      BufReader r(payload);
-      (void)r.u8();
-      (void)r.u32();
-      (void)r.varint();
-      (void)r.varint();
-      classify_frame(slot, r.raw(r.remaining()), total);
-      return;
-    }
-    classify_frame(slot, payload, total);
+    // The transport header (if any) stays charged with the frame's
+    // categories: the wrapper never smears the attribution.
+    classify_frame(slot, frame, wire_bytes);
   } catch (const SerdeError&) {
-    record(slot, CostCategory::kOther, total, 1);
+    record(slot, CostCategory::kOther, wire_bytes, 1);
   }
 }
 
@@ -205,17 +189,6 @@ void CostLedger::classify_control(std::uint32_t slot, BufReader& r,
   record(slot, cat, 0, 1);
   record(slot, inc_cat, inc_bytes, 0);
   record(slot, rest_cat, total - inc_bytes, 0);
-}
-
-void CostLedger::note_retransmit(std::uint32_t src) {
-  retransmit_hint_[std::min(src, config_.num_nodes)] = 1;
-}
-
-bool CostLedger::take_retransmit_hint(std::uint32_t src) {
-  std::uint8_t& h = retransmit_hint_[std::min(src, config_.num_nodes)];
-  const bool hinted = h != 0;
-  h = 0;
-  return hinted;
 }
 
 LedgerNodeSample& CostLedger::sample_slot(std::size_t flat) {

@@ -13,8 +13,8 @@
 //     incvector full snapshots vs deltas, gather-tree relay fan-out,
 //     recovery control per kind (mirroring analysis::MessageBreakdown),
 //     reliable-transport acks and retransmissions, heartbeats, checkpoint
-//     notices and Chandy-Lamport snapshot frames. Reliable-transport
-//     framing ([0xD7]...) is unwrapped before classification so the
+//     notices and Chandy-Lamport snapshot frames. net unwraps the
+//     reliable-transport framing before the ledger sees a packet, so the
 //     wrapper never smears the inner frame's category. Category totals are
 //     mirrored into metrics::Registry as "ledger.bytes.<cat>" and
 //     "ledger.frames.<cat>"; the per-(node, category) breakdown lives in
@@ -37,11 +37,12 @@
 // Layering: obs (rank 3) may include fbl (rank 2) for the frame codecs but
 // never recovery (rank 5) or net (rank 4). Control-frame sub-structure is
 // therefore parsed here against the wire layout recovery/messages.cpp
-// defines (the agreement is pinned by tests/obs_ledger_test.cpp), and the
-// transport's magic bytes arrive via CostLedgerConfig instead of an
-// include. net and recovery sit above obs, so their attribution hooks call
-// *into* the ledger (Network::set_ledger, ReliableTransport retransmit
-// hints).
+// defines (the agreement is pinned by tests/obs_ledger_test.cpp). The
+// transport header is not: net decodes it once per packet and hands the
+// ledger the inner frame plus an Envelope saying what was around it —
+// including whether the transport sent the packet as a retransmission,
+// which net::Network::send takes as an explicit argument. No wire layout
+// crosses into obs as configuration.
 #pragma once
 
 #include <array>
@@ -108,11 +109,14 @@ struct CostLedgerConfig {
   /// Timeline sampling period; 0 disables the sampler (the byte ledger
   /// itself is always on).
   Duration sample_every{0};
-  /// Reliable-transport magic bytes (net::ReliableTransport::kDataByte /
-  /// kAckByte), passed by the owner because obs must not include net.
-  /// 0x100 disables transport unwrapping.
-  std::uint32_t transport_data_byte{0x100};
-  std::uint32_t transport_ack_byte{0x100};
+};
+
+/// What the reliable transport put around a packet, as net decoded it.
+enum class Envelope : std::uint8_t {
+  kFrame,       ///< a protocol frame, raw or unwrapped from a data header
+  kAck,         ///< a transport ack (no frame)
+  kMalformed,   ///< a data header that does not decode (no frame)
+  kRetransmit,  ///< a transport re-send: bytes repeat an already-charged frame
 };
 
 /// One timeline sample of one node.
@@ -137,19 +141,12 @@ class CostLedger {
 
   // --- wire tap (net::Network::send, at the "net.bytes" charge site) ------
 
-  /// Classify and record one accepted packet. `header_bytes` is the framing
-  /// charged on top of the payload (net::Network::kHeaderBytes);
-  /// `retransmit` marks a reliable-transport re-send (the wire bytes are
-  /// identical to the first transmission, so the transport must say so).
-  void on_wire(std::uint32_t src, std::span<const std::byte> payload,
-               std::size_t header_bytes, bool retransmit);
-
-  /// One-shot hint set by net::ReliableTransport immediately before it
-  /// re-sends a frame; Network::send consumes it (take_retransmit_hint) on
-  /// every path, so a dropped retransmission cannot mislabel the next
-  /// packet.
-  void note_retransmit(std::uint32_t src);
-  [[nodiscard]] bool take_retransmit_hint(std::uint32_t src);
+  /// Classify and record one accepted packet of `wire_bytes` (payload,
+  /// transport header and net::Network::kHeaderBytes framing, all charged
+  /// to one category set). `frame` is the protocol frame inside it; only
+  /// Envelope::kFrame packets are classified by content.
+  void on_wire(std::uint32_t src, std::span<const std::byte> frame,
+               std::uint64_t wire_bytes, Envelope envelope);
 
   // --- timeline -----------------------------------------------------------
 
@@ -196,8 +193,8 @@ class CostLedger {
 
   void record(std::uint32_t slot, CostCategory c, std::uint64_t bytes,
               std::uint64_t frames);
-  /// Classify `payload` (transport framing already unwrapped) and record
-  /// its categories; `total` is the full charge for the packet.
+  /// Classify `payload` (a protocol frame) and record its categories;
+  /// `total` is the full charge for the packet.
   void classify_frame(std::uint32_t slot, std::span<const std::byte> payload,
                       std::uint64_t total);
   void classify_control(std::uint32_t slot, BufReader& r, std::uint64_t total);
@@ -212,7 +209,6 @@ class CostLedger {
   std::array<metrics::Counter*, kCostCategoryCount> frames_counter_{};
   /// (num_nodes + 1) x kCostCategoryCount, node-major.
   std::vector<std::uint64_t> per_node_;
-  std::vector<std::uint8_t> retransmit_hint_;  // per slot, one-shot
   /// Timeline: headers plus a chunked arena of node rows (sample-major:
   /// sample s, node i lives at flat index s * num_nodes + i). Chunks never
   /// move, so appending a sample never invalidates earlier rows.

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "fbl/frame.hpp"  // header-only use: FrameKind
 
 namespace rr::obs {
 
@@ -227,12 +228,15 @@ void SpanTracer::on_phase(Time now, const trace::PhaseEventInfo& info) {
 
 // --- infrastructure --------------------------------------------------------
 
-void SpanTracer::on_packet(Time sent, Time deliver_at, std::uint32_t src,
-                           std::uint32_t dst, std::size_t bytes, std::uint32_t first_byte) {
-  if (first_byte != config_.ctrl_frame_byte) return;
+void SpanTracer::on_packet(Time sent, Time deliver_at, std::uint32_t dst, std::size_t bytes,
+                           std::span<const std::byte> frame) {
+  if (frame.empty() ||
+      std::to_integer<std::uint8_t>(frame[0]) !=
+          static_cast<std::uint8_t>(fbl::FrameKind::kControl)) {
+    return;
+  }
   const std::uint32_t node = dst < config_.num_nodes ? dst : service_slot();
   const SpanId parent = active_of(nodes_[node]);
-  (void)src;
   complete_span(sent, deliver_at, SpanName::kCtrlTransit, node, parent, bytes);
 }
 

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,9 +94,6 @@ struct SpanTracerConfig {
   std::uint32_t num_nodes{0};
   /// Completed-span records retained per node for post-mortem dumps.
   std::uint32_t flight_capacity{64};
-  /// First payload byte that marks a control frame on the wire; packets
-  /// with any other leading byte are not traced. 0x100 disables.
-  std::uint32_t ctrl_frame_byte{0x100};
 };
 
 class SpanTracer {
@@ -130,10 +128,11 @@ class SpanTracer {
 
   // --- infrastructure (both endpoints known at issue time) ---------------
 
-  /// One packet: records a closed kCtrlTransit span on the *destination*
-  /// node iff `first_byte` is the configured control-frame marker.
-  void on_packet(Time sent, Time deliver_at, std::uint32_t src, std::uint32_t dst,
-                 std::size_t bytes, std::uint32_t first_byte);
+  /// One packet of `bytes` on the wire: records a closed kCtrlTransit span
+  /// on the *destination* node iff `frame`, the protocol frame it carries
+  /// (transport framing already removed by net), is a control frame.
+  void on_packet(Time sent, Time deliver_at, std::uint32_t dst, std::size_t bytes,
+                 std::span<const std::byte> frame);
 
   /// One stable-storage operation interval (op is one of the kStorage*).
   void on_storage_op(Time issued, Time completes, std::uint32_t node, SpanName op,

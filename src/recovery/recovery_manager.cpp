@@ -686,14 +686,14 @@ void RecoveryManager::phase(trace::PhaseId id) {
 }
 
 void RecoveryManager::phase_at(trace::PhaseId id, ProcessId subject, std::uint64_t round_id) {
-  if (!config_.phase_hook) return;
+  if (!hooks_.phase) return;
   trace::PhaseEventInfo info;
   info.pid = self_;
   info.phase = id;
   info.round = round_id;
   info.ord = ord_;
   info.subject = subject;
-  config_.phase_hook(info);
+  hooks_.phase(info);
 }
 
 void RecoveryManager::raise_floor(ProcessId about, Incarnation inc) {

@@ -71,9 +71,6 @@ struct RecoveryConfig {
   /// partial gather keeps flowing while the usual restart triggers decide
   /// the round's fate.
   std::uint32_t gather_arity{0};
-  /// Optional tap fired at named protocol phase boundaries (see
-  /// trace/phase_hook.hpp). Must not re-enter the manager synchronously.
-  trace::PhaseHook phase_hook;
   /// Deliberately seeded bug for the fault-schedule explorer's
   /// self-test: suppress every gather-restart trigger (concurrent failure,
   /// suspicion, phase timeout), so a leader whose gather target dies hangs
@@ -123,6 +120,10 @@ class RecoveryManager {
     /// Optional: our incvector floor for `about` was raised to `inc`
     /// (trace/V7 instrumentation; fires only on an actual increase).
     std::function<void(ProcessId, Incarnation)> floor_raised;
+
+    /// Optional tap fired at named protocol phase boundaries (see
+    /// trace/phase_hook.hpp). Must not re-enter the manager synchronously.
+    trace::PhaseHook phase;
   };
 
   RecoveryManager(sim::Simulator& sim, ProcessId self, ProcessId ord_service,

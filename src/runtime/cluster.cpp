@@ -4,8 +4,7 @@
 
 #include "common/assert.hpp"
 #include "common/hash.hpp"
-#include "fbl/frame.hpp"
-#include "net/reliable.hpp"
+#include "fbl/determinant.hpp"
 
 namespace rr::runtime {
 
@@ -28,9 +27,6 @@ Cluster::Cluster(ClusterConfig config, const app::AppFactory& factory)
     obs::SpanTracerConfig sc;
     sc.num_nodes = config_.num_processes;
     sc.flight_capacity = config_.flight_capacity;
-    // The fbl frame layer owns the wire format: control frames are the
-    // recovery protocol's traffic, and their first byte is the FrameKind.
-    sc.ctrl_frame_byte = static_cast<std::uint32_t>(fbl::FrameKind::kControl);
     tracer_ = std::make_unique<obs::SpanTracer>(sc, metrics_);
     network_.set_tracer(tracer_.get());
   }
@@ -39,10 +35,6 @@ Cluster::Cluster(ClusterConfig config, const app::AppFactory& factory)
     lc.num_nodes = config_.num_processes;
     lc.prune_piggyback = config_.prune_piggyback;
     lc.sample_every = config_.ledger_sample_every;
-    // The transport's framing magic crosses the obs layering boundary as
-    // plain config — obs must not include net (rrlint L1).
-    lc.transport_data_byte = net::ReliableTransport::kDataByte;
-    lc.transport_ack_byte = net::ReliableTransport::kAckByte;
     ledger_ = std::make_unique<obs::CostLedger>(lc, metrics_);
     network_.set_ledger(ledger_.get());
     if (config_.ledger_sample_every > 0) {
@@ -57,11 +49,8 @@ Cluster::Cluster(ClusterConfig config, const app::AppFactory& factory)
 
   config_.recovery.algorithm = config_.algorithm;
   // Every phase firing (nodes and ord service alike) is recorded on the
-  // trace and forwarded to the settable probe. The user's own phase_hook,
-  // if any, is chained in front.
-  auto user_hook = config_.recovery.phase_hook;
-  config_.recovery.phase_hook = [this, user_hook](const trace::PhaseEventInfo& info) {
-    if (user_hook) user_hook(info);
+  // trace and the span tracer, and forwarded to the settable probe.
+  const trace::PhaseHook phase_hook = [this](const trace::PhaseEventInfo& info) {
     if (trace_) {
       trace_->record(sim_.now(), trace::PhaseEvent{info.pid, info.phase, info.round, info.ord,
                                                    info.subject});
@@ -69,7 +58,7 @@ Cluster::Cluster(ClusterConfig config, const app::AppFactory& factory)
     if (tracer_) tracer_->on_phase(sim_.now(), info);
     if (phase_probe_) phase_probe_(info);
   };
-  ord_.set_phase_hook(config_.recovery.phase_hook);
+  ord_.set_phase_hook(phase_hook);
   for (const ProcessId pid : pids_) {
     NodeConfig nc;
     nc.id = pid;
@@ -87,6 +76,7 @@ Cluster::Cluster(ClusterConfig config, const app::AppFactory& factory)
     nc.det_flush_period = config_.det_flush_period;
     nc.trace = trace_.get();
     nc.tracer = tracer_.get();
+    nc.phase_hook = phase_hook;
     nodes_.push_back(
         std::make_unique<Node>(sim_, network_, nc, factory(pid), pids_, metrics_));
   }

@@ -11,6 +11,17 @@ namespace rr::runtime {
 
 using recovery::ControlMessage;
 
+namespace {
+
+/// The logging engine a node starts from: at boot, after a crash and as
+/// the base a restored checkpoint is loaded into.
+fbl::LoggingEngine fresh_engine(const NodeConfig& c) {
+  return fbl::LoggingEngine(fbl::EngineConfig{c.id, c.num_processes, c.f, c.prune_piggyback,
+                                              c.transport.enabled});
+}
+
+}  // namespace
+
 /// AppContext implementation handed to application handlers.
 class Node::Ctx : public app::AppContext {
  public:
@@ -40,8 +51,7 @@ Node::Node(sim::Simulator& sim, net::Network& network, NodeConfig config,
       transport_(sim, network, config.id, config.transport, metrics),
       app_(std::move(application)),
       ctx_(std::make_unique<Ctx>(*this)),
-      engine_(fbl::EngineConfig{config.id, config.num_processes, config.f,
-                                  config.prune_piggyback, config.transport.enabled}),
+      engine_(fresh_engine(config)),
       storage_(sim, config.storage, metrics, "storage"),
       ckpts_(storage_, config.id),
       detector_(
@@ -93,6 +103,7 @@ Node::Node(sim::Simulator& sim, net::Network& network, NodeConfig config,
                                             trace::FloorEvent{config_.id, about, inc});
                     }
                   },
+              .phase = config.phase_hook,
           },
           metrics),
       replay_(
@@ -281,9 +292,7 @@ void Node::crash() {
   replay_.reset();
   outputs_.reset();
   snapshot_.reset();
-  engine_ = fbl::LoggingEngine(fbl::EngineConfig{config_.id, config_.num_processes, config_.f,
-                                                 config_.prune_piggyback,
-                                                 config_.transport.enabled});
+  engine_ = fresh_engine(config_);
 
   if (current_recovery_) metrics_.counter("recovery.abandoned").add();
   current_recovery_ = RecoveryTimeline{};
@@ -357,9 +366,7 @@ void Node::load_stable_dets(std::vector<std::string> keys, fbl::Checkpoint cp) {
 }
 
 void Node::finish_restore(const fbl::Checkpoint& cp) {
-  engine_ = fbl::LoggingEngine(fbl::EngineConfig{config_.id, config_.num_processes, config_.f,
-                                                 config_.prune_piggyback,
-                                                 config_.transport.enabled});
+  engine_ = fresh_engine(config_);
   engine_.load(cp);
   app_->restore(cp.app_state);
   needs_onstart_replay_ = !cp.app_started;
@@ -455,10 +462,7 @@ void Node::handle_wire(ProcessId src, std::span<const std::byte> payload) {
         } else if (const auto* push = std::get_if<recovery::DetPush>(&m)) {
           // Output-commit stabilization: log the determinants durably-in-
           // volatile terms (we are now one of the f+1 holders) and confirm.
-          for (const auto& h : push->dets) {
-            fbl::HeldDeterminant mine{h.det, h.holders | fbl::holder_bit(config_.id)};
-            engine_.det_log().record(mine);
-          }
+          engine_.absorb(push->dets);
           metrics_.counter("output.det_pushes_served").add();
           send_control(src, recovery::DetAck{push->seq});
         } else if (const auto* ack = std::get_if<recovery::DetAck>(&m)) {
@@ -499,10 +503,7 @@ void Node::handle_app_frame(ProcessId src, fbl::AppFrame frame) {
   if (recovering_) {
     // Piggybacked knowledge is valid regardless of what happens to the
     // payload; absorb it so later gathers (and our own piggybacks) see it.
-    for (const auto& h : frame.dets) {
-      fbl::HeldDeterminant mine{h.det, h.holders | fbl::holder_bit(config_.id)};
-      engine_.det_log().record(mine);
-    }
+    engine_.absorb(frame.dets);
     if (replay_.installed() && replay_.needs(src, frame.ssn)) {
       metrics_.counter("replay.payloads_from_wire").add();
       replay_.offer(src, frame.ssn, std::move(frame.payload));
@@ -564,19 +565,27 @@ void Node::sync_log_then_send(ProcessId to, const ControlMessage& m) {
   });
 }
 
-void Node::try_deliver_app(ProcessId src, const fbl::AppFrame& frame) {
+fbl::LoggingEngine::Verdict Node::accept_app(ProcessId src, const fbl::AppFrame& frame) {
   const auto res = engine_.accept(src, frame, recovery_.incvector());
-  switch (res.verdict) {
+  // The engine absorbs the piggyback on every verdict but stale (which
+  // learns nothing), so the knowledge counts whatever the payload's fate.
+  dets_learned_.add(res.dets_learned);
+  if (res.verdict == fbl::LoggingEngine::Verdict::kDeliver) {
+    ++app_delivered_;
+    app_delivered_count_.add();
+    if (config_.trace != nullptr) {
+      config_.trace->record(sim_.now(), trace::DeliverEvent{config_.id, src, frame.ssn, res.rsn,
+                                                            inc_, false, frame.inc});
+    }
+    snapshot_.observe_delivery(src);
+    app_->on_message(*ctx_, src, frame.payload);
+  }
+  return res.verdict;
+}
+
+void Node::try_deliver_app(ProcessId src, const fbl::AppFrame& frame) {
+  switch (accept_app(src, frame)) {
     case fbl::LoggingEngine::Verdict::kDeliver:
-      ++app_delivered_;
-      app_delivered_count_.add();
-      dets_learned_.add(res.dets_learned);
-      if (config_.trace != nullptr) {
-        config_.trace->record(sim_.now(), trace::DeliverEvent{config_.id, src, frame.ssn,
-                                                              res.rsn, inc_, false, frame.inc});
-      }
-      snapshot_.observe_delivery(src);
-      app_->on_message(*ctx_, src, frame.payload);
       drain_held(src);
       return;
     case fbl::LoggingEngine::Verdict::kStale:
@@ -601,19 +610,9 @@ void Node::drain_held(ProcessId src) {
     if (it == chan->second.end()) break;
     fbl::AppFrame frame = std::move(it->second);
     chan->second.erase(it);
-    const auto res = engine_.accept(src, frame, recovery_.incvector());
-    if (res.verdict == fbl::LoggingEngine::Verdict::kDeliver) {
-      ++app_delivered_;
-      app_delivered_count_.add();
-      if (config_.trace != nullptr) {
-        config_.trace->record(sim_.now(), trace::DeliverEvent{config_.id, src, frame.ssn,
-                                                              res.rsn, inc_, false, frame.inc});
-      }
-      snapshot_.observe_delivery(src);
-      app_->on_message(*ctx_, src, frame.payload);
-    }
     // Stale/duplicate held frames just evaporate; out-of-order cannot
     // happen for exactly watermark+1.
+    accept_app(src, frame);
   }
   if (chan->second.empty()) held_ooo_.erase(chan);
 }
@@ -735,10 +734,7 @@ void Node::on_install(const recovery::DepInstall& install) {
   for (const auto& [pid, marks] : install.live_marks) {
     fbl::raise_watermark(suppress_marks_, pid, fbl::watermark_of(marks, config_.id));
   }
-  for (const auto& h : install.dets) {
-    fbl::HeldDeterminant mine{h.det, h.holders | fbl::holder_bit(config_.id)};
-    engine_.det_log().record(mine);
-  }
+  engine_.absorb(install.dets);
   if (current_recovery_ && current_recovery_->installed_at == 0) {
     current_recovery_->installed_at = sim_.now();
   }
@@ -746,14 +742,14 @@ void Node::on_install(const recovery::DepInstall& install) {
     needs_onstart_replay_ = false;
     app_->on_start(*ctx_);
   }
-  if (config_.recovery.phase_hook && !replay_.installed()) {
+  if (config_.phase_hook && !replay_.installed()) {
     trace::PhaseEventInfo info;
     info.pid = config_.id;
     info.phase = trace::PhaseId::kReplayStarted;
     info.round = install.round;
     info.ord = recovery_.ord();
     info.subject = config_.id;
-    config_.recovery.phase_hook(info);
+    config_.phase_hook(info);
   }
   // Schedule = own receipts known post-merge; payload sources resolve via
   // ReplayRequest (live or restored senders answer; recovering senders'

@@ -75,6 +75,9 @@ struct NodeConfig {
   /// its lifecycle edges (crash / restore / recovery-complete) and hands the
   /// tap to its stable-storage device.
   obs::SpanTracer* tracer{nullptr};
+  /// Optional protocol-phase tap (the cluster's fan-out to trace, spans and
+  /// its phase probe), handed to the recovery manager.
+  trace::PhaseHook phase_hook;
 };
 
 /// Completed-recovery measurement, one entry per recovery of this node.
@@ -174,6 +177,9 @@ class Node : public net::Endpoint {
   // Receive path.
   void handle_wire(ProcessId src, std::span<const std::byte> payload);
   void handle_app_frame(ProcessId src, fbl::AppFrame frame);
+  /// Offer a frame to the engine, count what its piggyback taught us and,
+  /// on kDeliver, hand the payload to the application.
+  fbl::LoggingEngine::Verdict accept_app(ProcessId src, const fbl::AppFrame& frame);
   void try_deliver_app(ProcessId src, const fbl::AppFrame& frame);
   void drain_held(ProcessId src);
   void drain_blocked();

@@ -109,6 +109,19 @@ TEST_F(EngineFixture, PiggybackCarriesReceiptOrdersDownstream) {
   EXPECT_TRUE(r.det_log().contains(ProcessId{1}, 1));
 }
 
+TEST_F(EngineFixture, PiggybackBytesMeasureTheDeterminantRegion) {
+  relay(p, q, "a");
+  relay(r, q, "b");
+  const auto out = q.make_frame(ProcessId{3}, to_bytes("c"), 1);
+  const AppFrame frame = decode_frame(out.frame);
+  ASSERT_EQ(frame.dets.size(), 2u);
+  std::size_t region = 0;
+  for (const HeldDeterminant& h : frame.dets) region += h.wire_bytes();
+  EXPECT_EQ(out.piggyback_count, 2u);
+  EXPECT_EQ(out.piggyback_bytes, region);
+  EXPECT_EQ(frame.encode(), out.frame);  // the decoded frame re-encodes identically
+}
+
 TEST_F(EngineFixture, PropagationStopsAtFPlusOneHolders) {
   relay(p, q, "m");  // holders of det(m): {q}
   // q -> r: det piggybacked, holders {q, r}.

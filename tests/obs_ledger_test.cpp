@@ -3,11 +3,12 @@
 // The classifier in obs/ledger.cpp hand-parses wire layouts it cannot
 // include (obs sits below recovery and net in the layering) — the unit
 // tests here pin its byte-for-byte agreement with recovery::encode_control
-// and the fbl frame codecs over every control kind, the app/piggyback
-// split, reliable-transport unwrapping and the retransmit hint. The
-// cluster-level tests cover the V10 conservation oracle, the sampled
-// timeline's determinism across runs, and the Perfetto counter-track
-// export.
+// and the fbl frame codecs over every control kind and the app/piggyback
+// split. The wire-level tests drive net::Network, which unwraps the
+// reliable-transport header and flags retransmissions before the ledger
+// sees a packet. The cluster-level tests cover the V10 conservation
+// oracle, the sampled timeline's determinism across runs, and the Perfetto
+// counter-track export.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -18,10 +19,13 @@
 #include "common/serde.hpp"
 #include "fbl/frame.hpp"
 #include "metrics/registry.hpp"
+#include "net/network.hpp"
+#include "net/reliable.hpp"
 #include "obs/ledger.hpp"
 #include "obs/perfetto.hpp"
 #include "recovery/messages.hpp"
 #include "runtime/cluster.hpp"
+#include "sim/simulator.hpp"
 
 namespace rr {
 namespace {
@@ -35,9 +39,13 @@ constexpr std::size_t kHeader = 32;  // mirrors net::Network::kHeaderBytes
 CostLedgerConfig unit_config() {
   CostLedgerConfig cfg;
   cfg.num_nodes = 4;
-  cfg.transport_data_byte = 0xD7;  // net::ReliableTransport::kDataByte
-  cfg.transport_ack_byte = 0xA7;   // net::ReliableTransport::kAckByte
   return cfg;
+}
+
+/// Charge one unwrapped frame as net::Network does: the packet's full wire
+/// size, classified by content.
+void charge(CostLedger& ledger, std::uint32_t src, const Bytes& wire) {
+  ledger.on_wire(src, wire, wire.size() + kHeader, obs::Envelope::kFrame);
 }
 
 fbl::HeldDeterminant held_det(std::uint32_t source, std::uint64_t ssn) {
@@ -65,7 +73,7 @@ TEST(CostLedgerClassifier, EveryControlKindAgreesWithRecoveryCodec) {
   std::uint64_t expected_total = 0;
   for (const auto& msg : kinds) {
     const Bytes wire = recovery::encode_control(msg);
-    ledger.on_wire(0, wire, kHeader, false);
+    charge(ledger, 0, wire);
     expected_total += wire.size() + kHeader;
   }
   for (std::size_t k = 0; k < obs::kCtrlCategoryCount; ++k) {
@@ -89,12 +97,13 @@ TEST(CostLedgerClassifier, AppFrameSplitsPiggybackFromPayload) {
   frame.ssn = 7;
   frame.dets = {held_det(1, 5), held_det(2, 9)};
   frame.payload = Bytes(100, std::byte{0x42});
-  const Bytes wire = frame.encode();
-  ledger.on_wire(1, wire, kHeader, false);
+  std::size_t piggyback = 0;
+  const Bytes wire = frame.encode(&piggyback);
+  charge(ledger, 1, wire);
 
   const std::uint64_t total = wire.size() + kHeader;
-  EXPECT_EQ(ledger.bytes(CostCategory::kPiggybackPruned), frame.piggyback_bytes());
-  EXPECT_EQ(ledger.bytes(CostCategory::kAppPayload), total - frame.piggyback_bytes());
+  EXPECT_EQ(ledger.bytes(CostCategory::kPiggybackPruned), piggyback);
+  EXPECT_EQ(ledger.bytes(CostCategory::kAppPayload), total - piggyback);
   // One frame, counted once, under its primary category.
   EXPECT_EQ(ledger.frames(CostCategory::kAppPayload), 1u);
   EXPECT_EQ(ledger.frames(CostCategory::kPiggybackPruned), 0u);
@@ -111,8 +120,9 @@ TEST(CostLedgerClassifier, ReshipModeRecategorizesPiggyback) {
   fbl::AppFrame frame;
   frame.dets = {held_det(1, 5)};
   frame.payload = Bytes(10, std::byte{0x01});
-  ledger.on_wire(0, frame.encode(), kHeader, false);
-  EXPECT_EQ(ledger.bytes(CostCategory::kPiggybackReship), frame.piggyback_bytes());
+  std::size_t piggyback = 0;
+  charge(ledger, 0, frame.encode(&piggyback));
+  EXPECT_EQ(ledger.bytes(CostCategory::kPiggybackReship), piggyback);
   EXPECT_EQ(ledger.bytes(CostCategory::kPiggybackPruned), 0u);
 }
 
@@ -128,7 +138,7 @@ TEST(CostLedgerClassifier, DepRequestCarvesIncvectorAndRelayBytes) {
   const Bytes wire = recovery::encode_control(recovery::ControlMessage{dep});
 
   // Sent by the leader itself: remainder stays under ctrl.dep_request.
-  ledger.on_wire(2, wire, kHeader, false);
+  charge(ledger, 2, wire);
   const std::uint64_t inc_bytes = ledger.bytes(CostCategory::kIncVectorDelta);
   EXPECT_GT(inc_bytes, 0u);
   EXPECT_EQ(ledger.bytes(CostCategory::kGatherRelay), 0u);
@@ -136,59 +146,94 @@ TEST(CostLedgerClassifier, DepRequestCarvesIncvectorAndRelayBytes) {
             wire.size() + kHeader - inc_bytes);
 
   // Relayed by a non-leader: the non-incvector remainder is fan-out cost.
-  ledger.on_wire(0, wire, kHeader, false);
+  charge(ledger, 0, wire);
   EXPECT_EQ(ledger.bytes(CostCategory::kGatherRelay),
             wire.size() + kHeader - inc_bytes);
   EXPECT_EQ(ledger.frames(CostCategory::kCtrlDepRequest), 2u);
-}
-
-TEST(CostLedgerClassifier, UnwrapsReliableTransportFraming) {
-  metrics::Registry m;
-  CostLedger ledger(unit_config(), m);
-
-  const Bytes inner = fbl::HeartbeatFrame{3}.encode();
-  BufWriter w;
-  w.u8(0xD7);       // data magic
-  w.u32(1);         // epoch
-  w.varint(9);      // stream
-  w.varint(4);      // seq
-  w.raw(inner);
-  const Bytes wire = std::move(w).take();
-  ledger.on_wire(0, wire, kHeader, false);
-  // The whole packet (wrapper included) lands under the inner frame's
-  // category — the wrapper never smears the attribution.
-  EXPECT_EQ(ledger.bytes(CostCategory::kHeartbeat), wire.size() + kHeader);
-
-  BufWriter ack;
-  ack.u8(0xA7);
-  ack.u32(1);
-  ledger.on_wire(0, std::move(ack).take(), kHeader, false);
-  EXPECT_EQ(ledger.frames(CostCategory::kTransportAck), 1u);
-}
-
-TEST(CostLedgerClassifier, RetransmitHintIsOneShotAndOverridesContent) {
-  metrics::Registry m;
-  CostLedger ledger(unit_config(), m);
-
-  ledger.note_retransmit(3);
-  EXPECT_TRUE(ledger.take_retransmit_hint(3));
-  EXPECT_FALSE(ledger.take_retransmit_hint(3));  // consumed
-
-  const Bytes wire = fbl::HeartbeatFrame{1}.encode();
-  ledger.on_wire(3, wire, kHeader, true);
-  EXPECT_EQ(ledger.bytes(CostCategory::kTransportRetransmit), wire.size() + kHeader);
-  EXPECT_EQ(ledger.bytes(CostCategory::kHeartbeat), 0u);
 }
 
 TEST(CostLedgerClassifier, MalformedFramesFallBackToOther) {
   metrics::Registry m;
   CostLedger ledger(unit_config(), m);
 
-  ledger.on_wire(0, Bytes{}, kHeader, false);                  // empty
-  ledger.on_wire(0, Bytes{std::byte{0xEE}}, kHeader, false);   // unknown kind
-  ledger.on_wire(0, Bytes{std::byte{4}}, kHeader, false);      // truncated control
+  charge(ledger, 0, Bytes{});                  // empty
+  charge(ledger, 0, Bytes{std::byte{0xEE}});   // unknown kind
+  charge(ledger, 0, Bytes{std::byte{4}});      // truncated control
   EXPECT_EQ(ledger.frames(CostCategory::kOther), 3u);
   EXPECT_EQ(ledger.total_bytes(), 3 * kHeader + 2);
+}
+
+// ------------------------------------------------ wire level (net::Network)
+
+/// A bare network with the ledger on its observation site: the transport
+/// header is decoded by net before the ledger sees a packet, so framing and
+/// retransmit attribution are pinned here, where they happen.
+struct WireRig : net::Endpoint {
+  sim::Simulator sim{3};
+  metrics::Registry metrics;
+  net::Network network{sim, net::NetworkConfig{}, metrics};
+  CostLedger ledger{unit_config(), metrics};
+
+  WireRig() {
+    network.attach(ProcessId{0}, *this);
+    network.attach(ProcessId{1}, *this);
+    network.set_ledger(&ledger);
+  }
+  void deliver(ProcessId, Bytes payload) override {
+    BufferPool::global().release(std::move(payload));
+  }
+};
+
+Bytes wrap_data(const Bytes& inner) {
+  BufWriter w;
+  w.u8(net::ReliableTransport::kDataByte);
+  w.u32(1);     // epoch
+  w.varint(9);  // stream
+  w.varint(4);  // seq
+  w.raw(inner);
+  return std::move(w).take();
+}
+
+TEST(CostLedgerWire, UnwrapsReliableTransportFraming) {
+  WireRig rig;
+  const Bytes wire = wrap_data(fbl::HeartbeatFrame{3}.encode());
+  EXPECT_EQ(rig.network.send(ProcessId{0}, ProcessId{1}, wire), wire.size() + kHeader);
+  // The whole packet (wrapper included) lands under the inner frame's
+  // category — the wrapper never smears the attribution.
+  EXPECT_EQ(rig.ledger.bytes(CostCategory::kHeartbeat), wire.size() + kHeader);
+  EXPECT_EQ(rig.ledger.frames(CostCategory::kHeartbeat), 1u);
+
+  BufWriter ack;
+  ack.u8(net::ReliableTransport::kAckByte);
+  ack.u32(1);
+  rig.network.send(ProcessId{1}, ProcessId{0}, std::move(ack).take());
+  EXPECT_EQ(rig.ledger.frames(CostCategory::kTransportAck), 1u);
+
+  // A data marker whose header is cut short is no frame at all: `other`,
+  // charged in full.
+  const Bytes truncated = {std::byte{net::ReliableTransport::kDataByte}, std::byte{1}};
+  rig.network.send(ProcessId{0}, ProcessId{1}, truncated);
+  EXPECT_EQ(rig.ledger.frames(CostCategory::kOther), 1u);
+  EXPECT_EQ(rig.ledger.bytes(CostCategory::kOther), truncated.size() + kHeader);
+
+  EXPECT_EQ(rig.ledger.audit(rig.metrics).size(), 0u);
+}
+
+TEST(CostLedgerWire, RetransmitFlagOverridesContent) {
+  WireRig rig;
+  const Bytes wire = wrap_data(fbl::HeartbeatFrame{1}.encode());
+  rig.network.send(ProcessId{0}, ProcessId{1}, wire, /*retransmit=*/true);
+  EXPECT_EQ(rig.ledger.bytes(CostCategory::kTransportRetransmit), wire.size() + kHeader);
+  EXPECT_EQ(rig.ledger.bytes(CostCategory::kHeartbeat), 0u);
+
+  // A retransmission the network drops at send leaves nothing behind: the
+  // sender's next packet is charged by its own content.
+  rig.network.set_up(ProcessId{0}, false);
+  EXPECT_EQ(rig.network.send(ProcessId{0}, ProcessId{1}, wire, /*retransmit=*/true), 0u);
+  rig.network.set_up(ProcessId{0}, true);
+  rig.network.send(ProcessId{0}, ProcessId{1}, wire);
+  EXPECT_EQ(rig.ledger.frames(CostCategory::kTransportRetransmit), 1u);
+  EXPECT_EQ(rig.ledger.bytes(CostCategory::kHeartbeat), wire.size() + kHeader);
 }
 
 // ------------------------------------------------------------- cluster level

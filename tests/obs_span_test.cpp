@@ -209,6 +209,70 @@ TEST(ObsSpan, SpanMetricsFeedTheRegistry) {
   EXPECT_TRUE(saw_recovery);
 }
 
+/// ctrl_transit spans and the ledger's control frames (all ctrl.* kinds)
+/// of one cluster run.
+struct TransitCount {
+  std::uint64_t transits{0};
+  std::uint64_t ctrl_frames{0};
+  std::uint64_t retransmits{0};
+};
+
+TransitCount count_transits(const runtime::Cluster& cluster) {
+  TransitCount out;
+  for (const SpanRecord& s : snapshot(*cluster.spans())) {
+    out.transits += s.name == SpanName::kCtrlTransit ? 1 : 0;
+  }
+  for (std::size_t k = 0; k < obs::kCtrlCategoryCount; ++k) {
+    out.ctrl_frames += cluster.ledger()->frames(
+        static_cast<obs::CostCategory>(obs::kFirstCtrlCategory + k));
+  }
+  out.retransmits = cluster.ledger()->frames(obs::CostCategory::kTransportRetransmit);
+  return out;
+}
+
+TEST(ObsSpan, CtrlTransitCoversFramesBehindTheReliableTransport) {
+  // With the transport on, node-to-node control frames travel behind its
+  // data header (only ord-service traffic stays raw). Every one of them,
+  // retransmissions included, must leave a ctrl_transit span: the spans
+  // cover at least the ledger's control frames, exactly when nothing was
+  // retransmitted.
+  auto cfg = test::fast_cluster(4, 2, Algorithm::kNonBlocking, 9);
+  cfg.transport.enabled = true;
+  cfg.enable_spans = true;
+  cfg.enable_ledger = true;
+  {
+    // Failure-free output commit: the determinant pushes and their acks
+    // are wrapped control frames on a clean fabric, never retransmitted.
+    runtime::Cluster cluster(cfg, test::bank_factory(1, 0));
+    cluster.start();
+    cluster.run_until(seconds(1));
+    BufWriter w;
+    w.i64(5);
+    w.u32(0);
+    cluster.node(1u).app_send(ProcessId{0}, std::move(w).take());
+    cluster.run_for(milliseconds(5));
+    cluster.node(0u).commit_output(to_bytes("guarded"));
+    cluster.run_for(milliseconds(100));
+    const TransitCount c = count_transits(cluster);
+    ASSERT_GT(cluster.ledger()->frames(obs::CostCategory::kCtrlDetPush), 0u);
+    ASSERT_EQ(c.retransmits, 0u);
+    EXPECT_EQ(c.transits, c.ctrl_frames);
+  }
+  {
+    // A crash on a lossy fabric: retransmitted control frames add spans
+    // the ledger books under transport_retransmit.
+    cfg.net.faults.loss = 0.05;
+    runtime::Cluster cluster(cfg, test::gossip_factory());
+    cluster.start();
+    cluster.crash_at(ProcessId{1}, seconds(2));
+    cluster.run_until(seconds(8));
+    const TransitCount c = count_transits(cluster);
+    ASSERT_GT(cluster.ledger()->frames(obs::CostCategory::kCtrlDepRequest), 0u);
+    ASSERT_GT(c.retransmits, 0u);
+    EXPECT_GE(c.transits, c.ctrl_frames);
+  }
+}
+
 TEST(ObsSpan, DisabledByDefaultCostsNothing) {
   auto sc = test::base_scenario(Algorithm::kNonBlocking);
   sc.crashes = {{ProcessId{1}, seconds(3)}};

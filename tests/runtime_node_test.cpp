@@ -127,6 +127,40 @@ TEST_F(NodeFixture, ManualAppSendDeliversThroughFullStack) {
   EXPECT_EQ(c.node(1u).app_delivered(), before + 1);
 }
 
+TEST_F(NodeFixture, PiggybackOnAHeldFrameCountsAsLearned) {
+  // The engine absorbs a frame's piggyback even when the frame itself is
+  // held for a channel gap; fbl.dets_learned must count that knowledge
+  // too, not only what arrives on frames delivered at once.
+  cluster = std::make_unique<Cluster>(
+      test::fast_cluster(4, 2, Algorithm::kNonBlocking, 5), test::bank_factory(1, 0));
+  auto& c = *cluster;
+  c.start();
+  c.run_until(seconds(1));
+  const Ssn mark = fbl::watermark_of(c.node(0u).engine().recv_marks(), ProcessId{1});
+  auto frame_from_1 = [&](Ssn ssn, Rsn rsn) {
+    fbl::AppFrame f;
+    f.inc = c.node(1u).incarnation();
+    f.ssn = ssn;
+    // A receipt order of p3 that p0 has never seen.
+    f.dets = {fbl::HeldDeterminant{
+        fbl::Determinant{ProcessId{2}, rsn, ProcessId{3}, rsn}, fbl::holder_bit(ProcessId{3})}};
+    BufWriter w;
+    w.i64(1);  // a bank transfer payload with ttl 0
+    w.u32(0);
+    f.payload = std::move(w).take();
+    return f.encode();
+  };
+  const std::uint64_t learned = c.metrics().counter_value("fbl.dets_learned");
+  const auto delivered = c.node(0u).app_delivered();
+  // The second frame overtakes the first: held, then drained behind it.
+  c.network().inject(ProcessId{1}, ProcessId{0}, frame_from_1(mark + 2, 1002), milliseconds(1));
+  c.network().inject(ProcessId{1}, ProcessId{0}, frame_from_1(mark + 1, 1001), milliseconds(2));
+  c.run_for(milliseconds(10));
+  EXPECT_EQ(c.metrics().counter_value("app.held_out_of_order"), 1u);
+  EXPECT_EQ(c.node(0u).app_delivered(), delivered + 2);
+  EXPECT_EQ(c.metrics().counter_value("fbl.dets_learned"), learned + 2);
+}
+
 TEST_F(NodeFixture, HeartbeatsFlowBetweenNodes) {
   auto& c = make();
   c.start();

@@ -38,11 +38,15 @@ RRSIM_SCENARIOS = [
     "--nodes 32 --f 3 --crash 1@6.5 --crash 2@8.9 --seed 5",
 ]
 
-# The tier-1 rrcheck gates (tools/CMakeLists.txt), plus the sweep ledger.
+# The tier-1 rrcheck gates (tools/CMakeLists.txt), plus the sweep ledger,
+# and the README's lossy replay: the one scenario whose trace carries
+# traffic behind the reliable transport.
 RRCHECK_SCENARIOS = [
     "--smoke",
     "--sweep --unreliable --max-runs 12 --seeds 2 --keep-going --jobs 1",
     "--sweep --scale --max-runs 12 --seeds 2 --keep-going --jobs 1",
+    "--replay seed=1,n=4,f=1,alg=nonblocking,schedule=crash:1@2000000000;"
+    "loss:2-3@100000;partition:2@2200000000+1500000000 --trace-out trace.json",
 ]
 RRCHECK_FLAGS = ["--metrics-out", "metrics.json"]
 
